@@ -10,7 +10,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sdbms_bench::{clean_micro, dbms_with_view, ratio, render_table, us};
+use sdbms_bench::{clean_micro, dbms_with_view, ratio, render_table, us, WorkerSweep};
 use sdbms_columnar::{rle, RowStore, TableStore, TransposedFile};
 use sdbms_core::{
     AccuracyPolicy, CmpOp, ComputeSource, Expr, Layout, MaintenancePolicy, Predicate, ScalarFunc,
@@ -1114,9 +1114,10 @@ fn e13_zone_map_pruning() {
         ),
         ("100%", Predicate::True),
     ];
+    let sweep = WorkerSweep::clamped(&[1, 4]);
     let mut table = Vec::new();
     let mut scan_json = Vec::new();
-    for workers in [1usize, 4] {
+    for &workers in &sweep.run {
         let cfg = ExecConfig {
             workers,
             morsel_rows: 1_024,
@@ -1159,7 +1160,7 @@ fn e13_zone_map_pruning() {
 
     let mut table = Vec::new();
     let mut agg_json = Vec::new();
-    for workers in [1usize, 4] {
+    for &workers in &sweep.run {
         let cfg = ExecConfig {
             workers,
             morsel_rows: 1_024,
@@ -1200,13 +1201,14 @@ fn e13_zone_map_pruning() {
 
     let json = format!(
         "{{\n  \"experiment\": \"e13_zone_map_pruning\",\n  \"rows\": {n_rows},\n  \
-         \"scan\": [\n{}\n  ],\n  \"aggregate\": [\n{}\n  ]\n}}\n",
+         {},\n  \"scan\": [\n{}\n  ],\n  \"aggregate\": [\n{}\n  ]\n}}\n",
+        sweep.json_fields(),
         scan_json.join(",\n"),
         agg_json.join(",\n"),
     );
-    match std::fs::write("BENCH_scan.json", &json) {
-        Ok(()) => println!("wrote BENCH_scan.json"),
-        Err(e) => println!("could not write BENCH_scan.json: {e}"),
+    match std::fs::write("BENCH_pruning.json", &json) {
+        Ok(()) => println!("wrote BENCH_pruning.json"),
+        Err(e) => println!("could not write BENCH_pruning.json: {e}"),
     }
 }
 
@@ -1460,9 +1462,10 @@ fn e15_vectorized_kernels() {
             Predicate::cmp(Expr::col("X"), CmpOp::Ge, Expr::lit(-500i64)),
         ),
     ];
+    let sweep = WorkerSweep::clamped(&[1, 4, 8]);
     let mut table = Vec::new();
     let mut scan_json = Vec::new();
-    for workers in [1usize, 4, 8] {
+    for &workers in &sweep.run {
         let cfg = ExecConfig {
             workers,
             morsel_rows: 1_024,
@@ -1510,7 +1513,7 @@ fn e15_vectorized_kernels() {
 
     let mut table = Vec::new();
     let mut agg_json = Vec::new();
-    for workers in [1usize, 4, 8] {
+    for &workers in &sweep.run {
         let cfg = ExecConfig {
             workers,
             morsel_rows: 1_024,
@@ -1553,7 +1556,8 @@ fn e15_vectorized_kernels() {
 
     let json = format!(
         "{{\n  \"experiment\": \"e15_vectorized_kernels\",\n  \"rows\": {n_rows},\n  \
-         \"scan\": [\n{}\n  ],\n  \"aggregate\": [\n{}\n  ]\n}}\n",
+         {},\n  \"scan\": [\n{}\n  ],\n  \"aggregate\": [\n{}\n  ]\n}}\n",
+        sweep.json_fields(),
         scan_json.join(",\n"),
         agg_json.join(",\n"),
     );

@@ -82,6 +82,53 @@ pub fn ratio(num: f64, den: f64) -> String {
     }
 }
 
+/// A worker-count sweep clamped to the cores this host offers.
+///
+/// Timing more workers than cores measures the scheduler, not the
+/// scan, so each requested count is capped at `cores` and repeats are
+/// dropped. The JSON fragment records both sweeps, so a result file
+/// says which counts were asked for and which ran.
+#[derive(Debug)]
+pub struct WorkerSweep {
+    /// The counts the experiment asked for.
+    pub requested: Vec<usize>,
+    /// The counts actually run: `requested` capped at `cores`.
+    pub run: Vec<usize>,
+    /// The host's available parallelism.
+    pub cores: usize,
+}
+
+impl WorkerSweep {
+    /// Clamp `requested` to this host's available parallelism.
+    #[must_use]
+    pub fn clamped(requested: &[usize]) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Self::clamped_to(requested, cores)
+    }
+
+    /// Clamp `requested` to `cores`.
+    #[must_use]
+    pub fn clamped_to(requested: &[usize], cores: usize) -> Self {
+        let mut run: Vec<usize> = requested.iter().map(|&w| w.clamp(1, cores)).collect();
+        run.dedup();
+        WorkerSweep {
+            requested: requested.to_vec(),
+            run,
+            cores,
+        }
+    }
+
+    /// `"cores": …, "workers_requested": […], "workers_run": […]`, for
+    /// an experiment's result file.
+    #[must_use]
+    pub fn json_fields(&self) -> String {
+        format!(
+            "\"cores\": {}, \"workers_requested\": {:?}, \"workers_run\": {:?}",
+            self.cores, self.requested, self.run
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,5 +162,17 @@ mod tests {
         assert_eq!(us(250_000), "250.0 ms");
         assert_eq!(ratio(10.0, 2.0), "5.0×");
         assert_eq!(ratio(1.0, 0.0), "∞");
+    }
+
+    #[test]
+    fn worker_sweep_clamps_to_cores_and_records_it() {
+        let two = WorkerSweep::clamped_to(&[1, 4, 8], 2);
+        assert_eq!(two.run, vec![1, 2]);
+        assert_eq!(
+            two.json_fields(),
+            "\"cores\": 2, \"workers_requested\": [1, 4, 8], \"workers_run\": [1, 2]"
+        );
+        assert_eq!(WorkerSweep::clamped_to(&[1, 4], 16).run, vec![1, 4]);
+        assert_eq!(WorkerSweep::clamped_to(&[1, 4], 1).run, vec![1]);
     }
 }

@@ -29,6 +29,7 @@ use sdbms_columnar::TableStore;
 use sdbms_data::Value;
 use sdbms_stats::{FrequencyTable, MinMaxAcc, Moments};
 use sdbms_storage::budget::{ambient_token, BudgetScope, CancelError, CancelToken};
+use sdbms_storage::IoScope;
 
 /// Environment variable overriding the worker count
 /// (`SDBMS_WORKERS=4`). Unset, empty, unparsable, or `0` all fall back
@@ -150,10 +151,12 @@ where
 
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    // The calling thread's ambient request budget (if any) is
-    // re-installed in every worker, so a deadline caps the scan's
-    // storage I/O no matter how many threads it fans out over.
+    // The calling thread's ambient request budget (if any) and its I/O
+    // scopes are re-installed in every worker, so a deadline caps the
+    // scan's storage I/O, and each session is billed for it, no matter
+    // how many threads it fans out over.
     let ambient = ambient_token();
+    let io_scopes = IoScope::ambient();
     let mut slots: Vec<Option<Result<T, E>>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     std::thread::scope(|scope| {
@@ -161,6 +164,7 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let _budget = ambient.clone().map(BudgetScope::enter);
+                    let _io: Vec<IoScope> = io_scopes.iter().cloned().map(IoScope::enter).collect();
                     let mut produced: Vec<(usize, Result<T, E>)> = Vec::new();
                     // lint: allow(relaxed-ordering): abort is a best-effort shutdown hint; a stale read only costs one extra morsel, never correctness
                     while !abort.load(Ordering::Relaxed) {

@@ -224,6 +224,15 @@ impl IoScope {
     pub fn stats(&self) -> &Arc<IoStats> {
         &self.stats
     }
+
+    /// The sinks of every scope active on the current thread, outermost
+    /// first. A thread that works on this thread's behalf re-enters
+    /// each of them (`IoScope::enter`), so its charges reach the same
+    /// sessions as charges made here.
+    #[must_use]
+    pub fn ambient() -> Vec<Arc<IoStats>> {
+        SCOPES.with(|stack| stack.borrow().clone())
+    }
 }
 
 impl Drop for IoScope {

@@ -852,3 +852,68 @@ fn derived_view_summaries_identical_across_workers() {
         }
     }
 }
+
+// ---- per-session I/O attribution across worker counts ----------------
+//
+// A session bills its I/O through an `IoScope` on the calling thread.
+// A parallel scan runs its morsels on worker threads, so the executor
+// must re-enter the caller's scopes there, or the session is billed
+// nothing for the pages its workers read.
+
+use sdbms::storage::{IoScope, IoSnapshot, IoStats};
+use std::sync::Arc;
+
+/// A scoped cold profile of every column records the same
+/// `IoSnapshot` at 1, 2, 4 and 8 workers, and the scope's counters
+/// equal the shared tracker's delta over the call exactly — no charge
+/// lost, none double-billed.
+///
+/// The pool holds every page and is emptied before each run, so each
+/// page is read from disk exactly once whatever the interleaving. Seeks
+/// depend on the order the workers' reads reach the disk, so they are
+/// compared against the tracker but not across worker counts.
+#[test]
+fn scoped_profile_io_is_identical_at_every_worker_count() {
+    let ds = pruning_dataset(6000, 64);
+    let env = StorageEnv::new(1024);
+    let mut store = TransposedFile::create_with(
+        env.pool.clone(),
+        ds.schema().clone(),
+        &[Compression::None; 4],
+    )
+    .expect("create");
+    store.bulk_append(&ds).expect("load");
+    let cold_profile = |attr: &str, workers: usize| {
+        env.pool.flush_all().expect("flush");
+        env.pool.discard_frames().expect("empty the pool");
+        let before = env.tracker.snapshot();
+        let scope = IoScope::enter(Arc::new(IoStats::default()));
+        let cfg = ExecConfig {
+            workers,
+            morsel_rows: 256,
+        };
+        profile_table_column(&store, attr, &cfg).expect("profile");
+        let scoped = scope.stats().snapshot();
+        drop(scope);
+        let global = env.tracker.snapshot().since(&before);
+        assert_eq!(
+            scoped, global,
+            "{attr} at {workers} workers: scope != tracker delta"
+        );
+        IoSnapshot { seeks: 0, ..scoped }
+    };
+    for attr in ["BLOCK", "X", "F", "TAG"] {
+        let reference = cold_profile(attr, 1);
+        assert!(
+            reference.page_reads > 0,
+            "{attr}: a cold profile reads pages"
+        );
+        for workers in WORKER_COUNTS {
+            assert_eq!(
+                cold_profile(attr, workers),
+                reference,
+                "{attr}: scoped I/O at {workers} workers"
+            );
+        }
+    }
+}
