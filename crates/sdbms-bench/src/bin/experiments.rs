@@ -1554,17 +1554,112 @@ fn e15_vectorized_kernels() {
         )
     );
 
+    let column_json = e15_column_reads();
+
     let json = format!(
         "{{\n  \"experiment\": \"e15_vectorized_kernels\",\n  \"rows\": {n_rows},\n  \
-         {},\n  \"scan\": [\n{}\n  ],\n  \"aggregate\": [\n{}\n  ]\n}}\n",
+         {},\n  \"scan\": [\n{}\n  ],\n  \"aggregate\": [\n{}\n  ],\n  \
+         \"column_read\": [\n{}\n  ]\n}}\n",
         sweep.json_fields(),
         scan_json.join(",\n"),
         agg_json.join(",\n"),
+        column_json.join(",\n"),
     );
     match std::fs::write("BENCH_scan.json", &json) {
         Ok(()) => println!("wrote BENCH_scan.json"),
         Err(e) => println!("could not write BENCH_scan.json: {e}"),
     }
+}
+
+/// The E15 column-read section: the serve path's read for a numeric
+/// summary, `read_column` + `as_f64` (per-row `Value`s) against
+/// `read_column_f64` (segment bytes decoded straight into the lane),
+/// for every census column at 20 000 rows. "warm" runs on a pool that
+/// holds the column; "cold" on the 128-page pool of the exploratory
+/// benchmark with its frames discarded before every read, so every
+/// page comes from the simulated disk. Both sides must read the same
+/// pages; the JSON entries are returned for `BENCH_scan.json`.
+fn e15_column_reads() -> Vec<String> {
+    const ROWS: usize = 20_000;
+    const TRIALS: usize = 7;
+    let ds = clean_micro(ROWS, 1982);
+    let attrs: Vec<String> = ds
+        .schema()
+        .attributes()
+        .iter()
+        .map(|a| a.name.clone())
+        .collect();
+    let mut table = Vec::new();
+    let mut json = Vec::new();
+    for (pool_label, pool_pages, cold) in [("warm", 8_192, false), ("cold", 128, true)] {
+        let env = StorageEnv::new(pool_pages);
+        let store = TransposedFile::from_dataset(env.pool.clone(), &ds).expect("load");
+        env.pool.flush_all().expect("flush");
+        for attr in &attrs {
+            let values_path = || -> Vec<f64> {
+                let col = store.read_column(attr).expect("read_column");
+                col.iter().filter_map(Value::as_f64).collect()
+            };
+            let typed_path = || -> Vec<f64> { store.read_column_f64(attr).expect("f64 read").0 };
+            let want: Vec<u64> = values_path().iter().map(|x| x.to_bits()).collect();
+            let got: Vec<u64> = typed_path().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{attr}: typed read diverged");
+            // One timed read, the pool made cold first if asked; the
+            // page reads it made come back with its time.
+            let timed = |read: &dyn Fn() -> Vec<f64>| -> (u128, u64) {
+                if cold {
+                    env.pool.discard_frames().expect("discard");
+                }
+                let before = env.tracker.snapshot().page_reads;
+                let t0 = Instant::now();
+                std::hint::black_box(read());
+                let elapsed = t0.elapsed().as_micros();
+                (elapsed, env.tracker.snapshot().page_reads - before)
+            };
+            // Alternate the two paths trial by trial; keep the minimum.
+            let (mut t_values, mut t_typed) = (u128::MAX, u128::MAX);
+            let (mut pages_values, mut pages_typed) = (0, 0);
+            for _ in 0..TRIALS {
+                let (t, p) = timed(&values_path);
+                t_values = t_values.min(t);
+                pages_values = p;
+                let (t, p) = timed(&typed_path);
+                t_typed = t_typed.min(t);
+                pages_typed = p;
+            }
+            assert_eq!(pages_typed, pages_values, "{attr}: page reads differ");
+            let speedup = t_values as f64 / t_typed.max(1) as f64;
+            table.push(vec![
+                attr.clone(),
+                format!("{pool_label} ({pool_pages} pages)"),
+                pages_values.to_string(),
+                us(t_values),
+                us(t_typed),
+                ratio(t_values as f64, t_typed.max(1) as f64),
+            ]);
+            json.push(format!(
+                "    {{\"column\": \"{attr}\", \"pool\": \"{pool_label}\", \
+                 \"pool_pages\": {pool_pages}, \"rows\": {ROWS}, \
+                 \"page_reads_per_read\": {pages_values}, \"values_us\": {t_values}, \
+                 \"f64_us\": {t_typed}, \"speedup\": {speedup:.2}}}"
+            ));
+        }
+    }
+    println!(
+        "{}",
+        render_table(
+            &[
+                "column read",
+                "pool",
+                "page reads",
+                "read_column + as_f64",
+                "read_column_f64",
+                "speedup",
+            ],
+            &table
+        )
+    );
+    json
 }
 
 fn e16_lifecycle() {

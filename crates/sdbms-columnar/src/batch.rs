@@ -411,20 +411,6 @@ impl ColumnBatch {
 
 // ---- decoding straight from segment bytes ----------------------------
 
-fn take_n<'a>(body: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], DataError> {
-    let s = body
-        .get(*pos..*pos + n)
-        .ok_or(DataError::Decode("value payload truncated"))?;
-    *pos += n;
-    Ok(s)
-}
-
-fn take_arr<const N: usize>(body: &[u8], pos: &mut usize) -> Result<[u8; N], DataError> {
-    take_n(body, pos, N)?
-        .try_into()
-        .map_err(|_| DataError::Decode("value payload truncated"))
-}
-
 /// Decode rows `[lo, hi)` of an encoded segment record into `out`,
 /// appending. Mirrors [`crate::segment::decode_segment_range`] exactly
 /// — same clamping, same error strings — but builds a typed batch with
@@ -460,20 +446,21 @@ pub fn decode_batch_range(
                         }
                     }
                     1 => {
-                        let b = take_arr::<8>(body, &mut pos)?;
+                        let b = crate::take_arr::<8>(body, &mut pos)?;
                         if i >= lo {
                             out.lane_push_i64(i64::from_le_bytes(b));
                         }
                     }
                     2 => {
-                        let b = take_arr::<8>(body, &mut pos)?;
+                        let b = crate::take_arr::<8>(body, &mut pos)?;
                         if i >= lo {
                             out.lane_push_f64(f64::from_bits(u64::from_le_bytes(b)));
                         }
                     }
                     3 => {
-                        let len = u16::from_le_bytes(take_arr::<2>(body, &mut pos)?) as usize;
-                        let sb = take_n(body, &mut pos, len)?;
+                        let len =
+                            u16::from_le_bytes(crate::take_arr::<2>(body, &mut pos)?) as usize;
+                        let sb = crate::take_n(body, &mut pos, len)?;
                         let s = std::str::from_utf8(sb)
                             .map_err(|_| DataError::Decode("string not UTF-8"))?;
                         if i >= lo {
@@ -481,7 +468,7 @@ pub fn decode_batch_range(
                         }
                     }
                     4 => {
-                        let b = take_arr::<4>(body, &mut pos)?;
+                        let b = crate::take_arr::<4>(body, &mut pos)?;
                         if i >= lo {
                             out.lane_push_code(u32::from_le_bytes(b));
                         }

@@ -55,3 +55,28 @@ pub(crate) fn read_u16(
         _ => Err(sdbms_data::DataError::Decode(what)),
     }
 }
+
+/// Take `n` bytes of an encoded value's payload at `*pos`, advancing
+/// `pos`, or fail with a decode error — the payload reader shared by
+/// the decoders that parse value bytes without building a `Value`.
+pub(crate) fn take_n<'a>(
+    body: &'a [u8],
+    pos: &mut usize,
+    n: usize,
+) -> Result<&'a [u8], sdbms_data::DataError> {
+    let s = body
+        .get(*pos..*pos + n)
+        .ok_or(sdbms_data::DataError::Decode("value payload truncated"))?;
+    *pos += n;
+    Ok(s)
+}
+
+/// [`take_n`] as a fixed-width array.
+pub(crate) fn take_arr<const N: usize>(
+    body: &[u8],
+    pos: &mut usize,
+) -> Result<[u8; N], sdbms_data::DataError> {
+    take_n(body, pos, N)?
+        .try_into()
+        .map_err(|_| sdbms_data::DataError::Decode("value payload truncated"))
+}

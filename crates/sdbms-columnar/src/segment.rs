@@ -117,6 +117,110 @@ pub fn decode_segment(buf: &[u8]) -> Result<Vec<Value>, DataError> {
     Ok(out)
 }
 
+/// Decode a segment record straight into its numeric view: append
+/// [`Value::as_f64`] of every row that has one to `out`, and return
+/// the segment's row count (rows without a numeric view — `Missing`,
+/// `Code`, `Str` — are counted but not appended).
+///
+/// This is the typed lane behind numeric summaries: no per-row
+/// `Value` is built, so a string cell is UTF-8-checked but never
+/// allocated. It accepts and rejects exactly the buffers
+/// [`decode_segment`] does, and on success appends bit for bit what
+/// `decode_segment(buf)` filtered through `as_f64` would. On error,
+/// `out` may hold part of the segment.
+pub fn decode_segment_f64(buf: &[u8], out: &mut Vec<f64>) -> Result<usize, DataError> {
+    let n = crate::read_u16(buf, 0, "segment header truncated")? as usize;
+    let tag = *buf.get(2).ok_or(DataError::Decode("segment tag missing"))?;
+    let body = &buf[3..];
+    match tag {
+        0 => {
+            let mut pos = 0usize;
+            for _ in 0..n {
+                if let Some(x) = decode_cell_f64(body, &mut pos)? {
+                    out.push(x);
+                }
+            }
+            if pos != body.len() {
+                return Err(DataError::Decode("trailing bytes in raw segment"));
+            }
+        }
+        1 => {
+            let n_runs = crate::read_u16(body, 0, "rle header truncated")? as usize;
+            let mut pos = 2usize;
+            let mut rows = 0usize;
+            for _ in 0..n_runs {
+                let len = crate::read_u16(body, pos, "rle run truncated")? as usize;
+                pos += 2;
+                let x = decode_cell_f64(body, &mut pos)?;
+                rows += len;
+                // Runs past the header count can only end in an error,
+                // so stop before a damaged length inflates the lane.
+                if rows > n {
+                    return Err(DataError::Decode("segment count mismatch"));
+                }
+                if let Some(x) = x {
+                    out.resize(out.len() + len, x);
+                }
+            }
+            if pos != body.len() {
+                return Err(DataError::Decode("trailing bytes after rle runs"));
+            }
+            if rows != n {
+                return Err(DataError::Decode("segment count mismatch"));
+            }
+        }
+        2 => {
+            let dict_size = crate::read_u16(body, 0, "dict size truncated")? as usize;
+            let mut pos = 2usize;
+            let mut dict = Vec::with_capacity(dict_size);
+            for _ in 0..dict_size {
+                dict.push(decode_cell_f64(body, &mut pos)?);
+            }
+            for _ in 0..n {
+                let code = crate::read_u16(body, pos, "dict code truncated")? as usize;
+                pos += 2;
+                let x = dict
+                    .get(code)
+                    .ok_or(DataError::Decode("dict code out of range"))?;
+                if let Some(x) = x {
+                    out.push(*x);
+                }
+            }
+            if pos != body.len() {
+                return Err(DataError::Decode("trailing bytes in dict segment"));
+            }
+        }
+        _ => return Err(DataError::Decode("unknown segment encoding tag")),
+    }
+    Ok(n)
+}
+
+/// Decode one encoded cell's numeric view at `body[*pos..]`,
+/// advancing `pos` past it. Mirrors [`Value::decode`] byte for byte —
+/// same accepted tags, same truncation and UTF-8 failures — without
+/// building the `Value`.
+fn decode_cell_f64(body: &[u8], pos: &mut usize) -> Result<Option<f64>, DataError> {
+    let tag = *body
+        .get(*pos)
+        .ok_or(DataError::Decode("value tag missing"))?;
+    *pos += 1;
+    match tag {
+        0 => Ok(None),
+        1 => Ok(Some(i64::from_le_bytes(crate::take_arr(body, pos)?) as f64)),
+        2 => Ok(Some(f64::from_bits(u64::from_le_bytes(crate::take_arr(
+            body, pos,
+        )?)))),
+        3 => {
+            let len = u16::from_le_bytes(crate::take_arr(body, pos)?) as usize;
+            std::str::from_utf8(crate::take_n(body, pos, len)?)
+                .map_err(|_| DataError::Decode("string not UTF-8"))?;
+            Ok(None)
+        }
+        4 => crate::take_n(body, pos, 4).map(|_| None),
+        _ => Err(DataError::Decode("unknown value tag")),
+    }
+}
+
 /// Decode only rows `[lo, hi)` of a segment record (positions are
 /// segment-relative; the range is clamped to the stored count).
 ///
@@ -382,7 +486,142 @@ mod tests {
         assert!(segment_runs(&bad).is_err());
     }
 
+    /// The numeric-lane oracle: `decode_segment` filtered through
+    /// `as_f64`. The typed decoder must agree on Ok vs Err, on the row
+    /// count and on every appended value's bits, and must append after
+    /// the lane's prior contents.
+    fn f64_decoder_agrees(buf: &[u8]) -> Result<(), String> {
+        const PRIOR: f64 = -7.25;
+        let mut lane = vec![PRIOR];
+        let got = decode_segment_f64(buf, &mut lane);
+        match (decode_segment(buf), got) {
+            (Ok(vals), Ok(rows)) => {
+                let want: Vec<u64> = vals
+                    .iter()
+                    .filter_map(Value::as_f64)
+                    .map(f64::to_bits)
+                    .collect();
+                let lane_bits: Vec<u64> = lane.iter().map(|x| x.to_bits()).collect();
+                if rows != vals.len() {
+                    return Err(format!("row count {rows}, want {}", vals.len()));
+                }
+                if lane_bits[0] != PRIOR.to_bits() || lane_bits[1..] != want[..] {
+                    return Err(format!("lane {lane:?}, want {vals:?}"));
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (want, got) => return Err(format!("value path {want:?}, typed path {got:?}")),
+        }
+        Ok(())
+    }
+
+    /// A cell drawn from every shape the decoder distinguishes:
+    /// missing, ordinary and extreme ints, arbitrary float bit
+    /// patterns (NaN payloads included), signed zeros, codes, strings.
+    fn cell(kind: u8, bits: u64) -> Value {
+        match kind {
+            0 => Value::Missing,
+            1 => Value::Int(bits as i64 % 1_000),
+            2 => Value::Int([i64::MIN, i64::MAX, 0, -1][bits as usize % 4]),
+            3 => Value::Float(f64::from_bits(bits)),
+            4 => Value::Float(
+                [
+                    0.0,
+                    -0.0,
+                    f64::NAN,
+                    f64::from_bits(0xFFF8_0000_0000_0001),
+                    f64::INFINITY,
+                    (bits % 97) as f64 * 0.5,
+                ][bits as usize % 6],
+            ),
+            5 => Value::Code((bits % 9) as u32),
+            _ => Value::Str(["", "M", "Female", "é"][bits as usize % 4].into()),
+        }
+    }
+
+    #[test]
+    fn f64_decode_equals_value_decode_on_fixed_shapes() {
+        let mut shapes: Vec<Vec<Value>> = vec![sample(), Vec::new()];
+        shapes.push((0..SEGMENT_ROWS as u64).map(|i| cell(3, i << 40)).collect());
+        shapes.push(
+            (0..SEGMENT_ROWS)
+                .map(|i| cell((i / 30) as u8 % 7, i as u64 / 7))
+                .collect(),
+        );
+        for vals in &shapes {
+            for c in [Compression::None, Compression::Rle, Compression::Dictionary] {
+                let buf = encode_segment(vals, c);
+                f64_decoder_agrees(&buf).unwrap_or_else(|e| panic!("{c:?}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn f64_decode_rejects_what_value_decode_rejects() {
+        // A header count one off either way.
+        let vals: Vec<Value> = (0..40).map(|i| cell(i as u8 % 7, i * 31)).collect();
+        for c in [Compression::None, Compression::Rle, Compression::Dictionary] {
+            let buf = encode_segment(&vals, c);
+            for n in [39u16, 41] {
+                let mut bad = buf.clone();
+                bad[..2].copy_from_slice(&n.to_le_bytes());
+                f64_decoder_agrees(&bad).unwrap_or_else(|e| panic!("{c:?} n={n}: {e}"));
+                assert!(decode_segment_f64(&bad, &mut Vec::new()).is_err());
+            }
+        }
+        // A run length inflated to u16::MAX fails before the lane grows.
+        let buf = encode_segment(&vec![Value::Int(5); 3], Compression::Rle);
+        let mut bad = buf.clone();
+        bad[5..7].copy_from_slice(&u16::MAX.to_le_bytes());
+        let mut lane = Vec::new();
+        assert!(decode_segment_f64(&bad, &mut lane).is_err());
+        assert!(lane.capacity() < 1024);
+        f64_decoder_agrees(&bad).unwrap();
+    }
+
     proptest::proptest! {
+        #[test]
+        fn prop_f64_decode_matches_value_decode_and_damage(
+            cells in proptest::collection::vec((0u8..9, proptest::arbitrary::any::<u64>()), 0..=SEGMENT_ROWS),
+            tag in 0u8..3,
+            flips in proptest::collection::vec((proptest::arbitrary::any::<u64>(), 1u8..=255), 0..48)
+        ) {
+            // Kinds 7 and 8 repeat the previous cell, so RLE and
+            // dictionary segments hold real runs.
+            let mut vals: Vec<Value> = Vec::with_capacity(cells.len());
+            for (kind, bits) in cells {
+                let v = match (kind, vals.last()) {
+                    (7 | 8, Some(prev)) => prev.clone(),
+                    _ => cell(kind % 7, bits),
+                };
+                vals.push(v);
+            }
+            let c = match tag {
+                0 => Compression::None,
+                1 => Compression::Rle,
+                _ => Compression::Dictionary,
+            };
+            let buf = encode_segment(&vals, c);
+            let check = |b: &[u8]| f64_decoder_agrees(b).map_err(proptest::test_runner::TestCaseError::Fail);
+            check(&buf)?;
+            // Truncation at every byte.
+            for cut in 0..buf.len() {
+                check(&buf[..cut])?;
+            }
+            // Trailing bytes.
+            let mut long = buf.clone();
+            long.push(0);
+            check(&long)?;
+            // Single-byte damage anywhere: value tags, run lengths,
+            // dictionary codes, the header count, the encoding tag.
+            for (at, mask) in flips {
+                let mut bad = buf.clone();
+                let i = at as usize % bad.len();
+                bad[i] ^= mask;
+                check(&bad)?;
+            }
+        }
+
         #[test]
         fn prop_segment_roundtrip(
             codes in proptest::collection::vec(0u32..8, 0..SEGMENT_ROWS),

@@ -188,8 +188,14 @@ pub trait TableStore {
         0
     }
 
-    /// One column as `(numeric values, skipped)` — the hot path for
-    /// statistical functions.
+    /// One full column's numeric view as `(values, skipped)`: the
+    /// [`Value::as_f64`] of every row that has one, in row order, and
+    /// the count of rows that have none (`Missing`, `Code`, `Str`).
+    /// Equal, bit for bit, to [`TableStore::read_column`] filtered
+    /// through `as_f64`, with the same I/O. This is the read behind
+    /// every numeric summary on the serve path: segmented layouts
+    /// override it to decode segment bytes straight into the lane with
+    /// no per-row `Value`; the default filters a scalar column read.
     fn read_column_f64(&self, attribute: &str) -> Result<(Vec<f64>, usize)> {
         let vals = self.read_column(attribute)?;
         let mut out = Vec::with_capacity(vals.len());

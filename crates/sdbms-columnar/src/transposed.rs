@@ -16,7 +16,8 @@ use sdbms_storage::{BufferPool, HeapFile, MmapSegmentSource, PageId, Rid};
 
 use crate::batch::{decode_batch_range, ColumnBatch};
 use crate::segment::{
-    decode_segment, decode_segment_range, encode_segment, segment_runs, Compression, SEGMENT_ROWS,
+    decode_segment, decode_segment_f64, decode_segment_range, encode_segment, segment_runs,
+    Compression, SEGMENT_ROWS,
 };
 use crate::store::{Result, TableStore};
 use crate::zonemap::ZoneMap;
@@ -358,6 +359,26 @@ impl TableStore for TransposedFile {
             out.extend(vals);
         }
         Ok(out)
+    }
+
+    fn read_column_f64(&self, attribute: &str) -> Result<(Vec<f64>, usize)> {
+        // The same segment walk as `read_column` — same fetches in the
+        // same order, same directory checks — decoded straight into
+        // the numeric lane instead of per-row `Value`s.
+        let ci = self.schema.require(attribute)?;
+        let col = &self.columns[ci];
+        let mut out = Vec::with_capacity(self.rows);
+        let mut rows = 0usize;
+        for si in 0..col.segments.len() {
+            let bytes = self.segment_bytes_view(col, si)?;
+            let n = decode_segment_f64(&bytes, &mut out)?;
+            if n != col.segments[si].len {
+                return Err(DataError::Decode("segment directory out of sync"));
+            }
+            rows += n;
+        }
+        let skipped = rows - out.len();
+        Ok((out, skipped))
     }
 
     fn read_column_range(&self, attribute: &str, start: usize, len: usize) -> Result<Vec<Value>> {
@@ -1106,6 +1127,64 @@ mod tests {
             "{err:?}"
         );
         assert!(!t.scan_sealed());
+    }
+
+    /// `read_column_f64` against its oracle, `read_column` filtered
+    /// through `as_f64`: the same values bit for bit, and the same
+    /// count of rows without a numeric view.
+    fn assert_f64_read_matches(store: &dyn TableStore, attr: &str) {
+        let vals = store.read_column(attr).unwrap();
+        let want: Vec<u64> = vals
+            .iter()
+            .filter_map(Value::as_f64)
+            .map(f64::to_bits)
+            .collect();
+        let (got, skipped) = store.read_column_f64(attr).unwrap();
+        let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want, "{attr}");
+        assert_eq!(skipped, vals.len() - want.len(), "{attr} skipped");
+    }
+
+    #[test]
+    fn f64_column_reads_equal_value_reads_on_every_store() {
+        use crate::rowstore::RowStore;
+        let mut ds = micro(900);
+        // Missing cells, NaN payloads and signed zeros in the numeric
+        // columns, so both decoders leave their fast path.
+        let (age, income) = (
+            ds.schema().require("AGE").unwrap(),
+            ds.schema().require("INCOME").unwrap(),
+        );
+        let mut rows = ds.rows().to_vec();
+        for (i, row) in rows.iter_mut().enumerate().step_by(37) {
+            row[age] = Value::Missing;
+            row[income] = [
+                Value::Missing,
+                Value::Float(-0.0),
+                Value::Float(f64::from_bits(0x7FF8_0000_0000_00AB)),
+            ][i % 3]
+                .clone();
+        }
+        ds = DataSet::from_rows("micro", ds.schema().clone(), rows).unwrap();
+        let attrs: Vec<String> = ds
+            .schema()
+            .attributes()
+            .iter()
+            .map(|a| a.name.clone())
+            .collect();
+        let env = StorageEnv::new(256);
+        let mut t = TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
+        let r = RowStore::from_dataset(env.pool.clone(), &ds).unwrap();
+        for a in &attrs {
+            assert_f64_read_matches(&t, a);
+            assert_f64_read_matches(&r, a);
+        }
+        assert!(t.seal_for_scan().unwrap());
+        for a in &attrs {
+            assert_f64_read_matches(&t, a);
+        }
+        assert!(t.read_column_f64("NOPE").is_err());
+        assert!(r.read_column_f64("NOPE").is_err());
     }
 
     #[test]

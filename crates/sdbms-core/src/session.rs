@@ -152,6 +152,29 @@ impl Snapshot {
         Ok(self.store.read_column(attribute)?)
     }
 
+    /// One full column's numeric view as `(values, skipped)` — see
+    /// [`TableStore::read_column_f64`]. Equal to [`Snapshot::column`]
+    /// filtered through [`Value::as_f64`], with the same I/O charged
+    /// the same way, but with no per-row `Value` built.
+    pub fn column_f64(&self, attribute: &str) -> Result<(Vec<f64>, usize)> {
+        let _scope = IoScope::enter(Arc::clone(&self.stats));
+        Ok(self.store.read_column_f64(attribute)?)
+    }
+
+    /// Compute `function(attribute)` on the pinned version from the
+    /// store, bypassing the memo. Numeric functions read the column's
+    /// typed lane ([`Snapshot::column_f64`]); Mode and UniqueCount
+    /// read its values. Either way the answer equals
+    /// `function.compute(&self.column(attribute)?)`.
+    pub fn evaluate(&self, attribute: &str, function: &StatFunction) -> Result<SummaryValue> {
+        if function.needs_numeric() {
+            let (nums, _skipped) = self.column_f64(attribute)?;
+            Ok(function.compute_numeric(&nums)?)
+        } else {
+            Ok(function.compute(&self.column(attribute)?)?)
+        }
+    }
+
     /// One full row of the pinned version.
     pub fn row(&self, row: usize) -> Result<Vec<Value>> {
         let _scope = IoScope::enter(Arc::clone(&self.stats));
@@ -173,11 +196,7 @@ impl Snapshot {
         if let Some(v) = self.memo.lock().get(&key) {
             return Ok((v.clone(), ComputeSource::Cache));
         }
-        let value = {
-            let _scope = IoScope::enter(Arc::clone(&self.stats));
-            let col = self.store.read_column(attribute)?;
-            function.compute(&col)?
-        };
+        let value = self.evaluate(attribute, function)?;
         self.memo.lock().insert(key, value.clone());
         Ok((value, ComputeSource::Computed))
     }

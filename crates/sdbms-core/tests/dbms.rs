@@ -673,3 +673,135 @@ fn rollback_rederives_dependent_columns() {
         assert!((x - y).abs() < 1e-6, "{x} vs {y}");
     }
 }
+
+/// Every summary function the engine knows, parameterized variants
+/// included.
+fn every_function() -> Vec<StatFunction> {
+    vec![
+        StatFunction::Count,
+        StatFunction::Sum,
+        StatFunction::Mean,
+        StatFunction::Variance,
+        StatFunction::StdDev,
+        StatFunction::Min,
+        StatFunction::Max,
+        StatFunction::Median,
+        StatFunction::Quartiles,
+        StatFunction::Quantile(50),
+        StatFunction::Quantile(975),
+        StatFunction::Mode,
+        StatFunction::UniqueCount,
+        StatFunction::Histogram(7),
+        StatFunction::TrimmedMean(100, 900),
+    ]
+}
+
+fn cold_census_view(rows: usize, pool_pages: usize) -> StatDbms {
+    let mut dbms = StatDbms::with_env(sdbms_storage::StorageEnv::new(pool_pages));
+    let ds = microdata_census(&CensusConfig {
+        rows,
+        ..Default::default()
+    })
+    .unwrap();
+    dbms.load_raw(&ds).unwrap();
+    dbms.materialize(ViewDefinition::scan("v", "census_microdata"), "a")
+        .unwrap();
+    dbms
+}
+
+#[test]
+fn typed_column_reads_charge_the_same_io_as_value_reads() {
+    let dbms = cold_census_view(4_000, 128);
+    let snap = dbms.snapshot("v").unwrap();
+    let attrs: Vec<String> = snap
+        .schema()
+        .attributes()
+        .iter()
+        .map(|a| a.name.clone())
+        .collect();
+    let pool = &dbms.env().pool;
+    pool.flush_all().unwrap();
+    for attr in &attrs {
+        pool.discard_frames().unwrap();
+        let (shared, own) = (dbms.io(), snap.io());
+        let vals = snap.column(attr).unwrap();
+        let value_io = (dbms.io().since(&shared), snap.io().since(&own));
+
+        pool.discard_frames().unwrap();
+        let (shared, own) = (dbms.io(), snap.io());
+        let (nums, skipped) = snap.column_f64(attr).unwrap();
+        let typed_io = (dbms.io().since(&shared), snap.io().since(&own));
+
+        assert_eq!(typed_io, value_io, "{attr}: I/O charged");
+        assert!(value_io.1.page_reads > 0, "{attr}: the pool was cold");
+        let want: Vec<u64> = vals
+            .iter()
+            .filter_map(Value::as_f64)
+            .map(f64::to_bits)
+            .collect();
+        let got: Vec<u64> = nums.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want, "{attr}: numeric view");
+        assert_eq!(skipped, vals.len() - want.len(), "{attr}: skipped");
+    }
+}
+
+#[test]
+fn typed_column_reads_trip_budgets_like_value_reads() {
+    use sdbms_storage::{BudgetScope, CancelToken};
+    let dbms = cold_census_view(4_000, 128);
+    let snap = dbms.snapshot("v").unwrap();
+    let pool = &dbms.env().pool;
+    pool.flush_all().unwrap();
+    for attr in ["AGE", "INCOME", "SEX"] {
+        for budget in [None, Some(0), Some(3)] {
+            let token = || match budget {
+                None => {
+                    let t = CancelToken::unbounded();
+                    t.cancel();
+                    t
+                }
+                Some(ops) => CancelToken::with_op_budget(ops),
+            };
+            pool.discard_frames().unwrap();
+            let value_err = {
+                let _budget = BudgetScope::enter(token());
+                snap.column(attr).unwrap_err()
+            };
+            pool.discard_frames().unwrap();
+            let typed_err = {
+                let _budget = BudgetScope::enter(token());
+                snap.column_f64(attr).unwrap_err()
+            };
+            assert!(
+                value_err.is_budget(),
+                "{attr} under {budget:?}: {value_err:?}"
+            );
+            assert_eq!(typed_err, value_err, "{attr} under {budget:?}");
+        }
+    }
+}
+
+#[test]
+fn snapshot_evaluate_equals_value_path_for_every_function() {
+    let mut dbms = cold_census_view(1_500, 128);
+    // Missing cells push the typed decoders off their fast path.
+    let batch = dbms.begin_batch("v").unwrap();
+    for row in (0..1_500).step_by(41) {
+        dbms.batch_set_cell(batch, row, "AGE", Value::Missing)
+            .unwrap();
+        dbms.batch_set_cell(batch, row + 3, "INCOME", Value::Missing)
+            .unwrap();
+    }
+    dbms.commit_batch(batch).unwrap();
+    let snap = dbms.snapshot("v").unwrap();
+    for attr in ["AGE", "INCOME", "HOURS_WORKED", "SEX", "REGION"] {
+        let col = snap.column(attr).unwrap();
+        for f in every_function() {
+            let want = f.compute(&col).map_err(CoreError::from);
+            let got = snap.evaluate(attr, &f);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{f}({attr})");
+            let memo = snap.compute(attr, &f).map(|(v, _)| v);
+            assert_eq!(format!("{memo:?}"), format!("{got:?}"), "{f}({attr}) memo");
+        }
+    }
+}

@@ -988,9 +988,9 @@ fn process_query(inner: &Inner, job: &Job, query: &Query) -> Result<Response> {
         BreakerAdmit::Allow | BreakerAdmit::Probe => {}
     }
     // Miss: compute against the pinned snapshot inside a per-request
-    // I/O scope. The snapshot's raw column/row reads are used (not its
-    // memo) so the uncached baseline does the real work every time —
-    // the front cache above is what this layer measures.
+    // I/O scope, bypassing the snapshot's memo so the uncached
+    // baseline does the real work every time — the front cache above
+    // is what this layer measures.
     let stats = Arc::new(IoStats::default());
     let computed: Result<Payload> = {
         let _scope = IoScope::enter(Arc::clone(&stats));
@@ -1023,20 +1023,19 @@ fn process_query(inner: &Inner, job: &Job, query: &Query) -> Result<Response> {
 }
 
 /// The engine compute for one query against a pinned snapshot, run
-/// inside the caller's budget and I/O scopes. Split out as a function
-/// so its `Result` comes back whole: a `?` inline in `process_query`
-/// would return before the breaker could record the outcome.
+/// inside the caller's budget and I/O scopes. A summary goes through
+/// [`Snapshot::evaluate`], not the snapshot's memo, so every miss does
+/// the real work: numeric functions decode the column's segments
+/// straight into an `f64` lane, and only Mode / UniqueCount build the
+/// column's `Value`s. Split out as a function so its `Result` comes
+/// back whole: a `?` inline in `process_query` would return before
+/// the breaker could record the outcome.
 fn compute_payload(snap: &Snapshot, query: &Query) -> Result<Payload> {
     match query {
         Query::Summary {
             attribute,
             function,
-        } => {
-            let col = snap.column(attribute)?;
-            Ok(Payload::Summary(
-                function.compute(&col).map_err(CoreError::from)?,
-            ))
-        }
+        } => Ok(Payload::Summary(snap.evaluate(attribute, function)?)),
         Query::Column { attribute } => Ok(Payload::Column(snap.column(attribute)?)),
         Query::Row { index } => Ok(Payload::Row(snap.row(*index)?)),
     }

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use sdbms_data::Value;
-use sdbms_stats::{descriptive, quantile, FrequencyTable, Histogram, Moments};
+use sdbms_stats::{descriptive, quantile, FrequencyTable, Histogram, Moments, StatsError};
 
 use crate::error::Result;
 use crate::value::SummaryValue;
@@ -127,43 +127,64 @@ impl StatFunction {
 
     /// Compute the function over a column of values (missing values
     /// skipped for numeric functions, counted as a value by Mode /
-    /// UniqueCount only if present).
+    /// UniqueCount only if present). Numeric functions delegate to
+    /// [`StatFunction::compute_numeric`] over the column's numeric
+    /// view.
     pub fn compute(&self, values: &[Value]) -> Result<SummaryValue> {
-        let nums = || -> Vec<f64> { values.iter().filter_map(Value::as_f64).collect() };
-        Ok(match self {
-            StatFunction::Count => SummaryValue::Count(nums().len() as u64),
-            StatFunction::Sum => SummaryValue::Scalar(descriptive::sum(&nums())),
-            StatFunction::Mean => SummaryValue::Scalar(descriptive::mean(&nums())?),
-            StatFunction::Variance => SummaryValue::Scalar(descriptive::variance(&nums())?),
-            StatFunction::StdDev => SummaryValue::Scalar(descriptive::std_dev(&nums())?),
-            StatFunction::Min => SummaryValue::Scalar(descriptive::min(&nums())?),
-            StatFunction::Max => SummaryValue::Scalar(descriptive::max(&nums())?),
-            StatFunction::Median => SummaryValue::Scalar(quantile::median(&nums())?),
-            StatFunction::Quartiles => {
-                let (q1, q2, q3) = quantile::quartiles(&nums())?;
-                SummaryValue::Vector(vec![q1, q2, q3])
-            }
-            StatFunction::Quantile(pm) => {
-                SummaryValue::Scalar(quantile::quantile(&nums(), f64::from(*pm) / 1000.0)?)
-            }
+        match self {
             StatFunction::Mode => {
                 let t = FrequencyTable::from_values(values.iter());
                 let (v, c) = t.mode()?;
-                SummaryValue::ModalValue(v, c)
+                Ok(SummaryValue::ModalValue(v, c))
             }
             StatFunction::UniqueCount => {
                 let t = FrequencyTable::from_values(values.iter());
-                SummaryValue::Count(t.unique_count() as u64)
+                Ok(SummaryValue::Count(t.unique_count() as u64))
+            }
+            _ => {
+                let nums: Vec<f64> = values.iter().filter_map(Value::as_f64).collect();
+                self.compute_numeric(&nums)
+            }
+        }
+    }
+
+    /// Compute a numeric function ([`StatFunction::needs_numeric`])
+    /// over a column's numeric view — the values that have one, in row
+    /// order, as [`Value::as_f64`] gives them. This is the one kernel
+    /// dispatch for numeric summaries; Mode and UniqueCount need the
+    /// values themselves and fail here with
+    /// [`StatsError::InvalidParameter`].
+    pub fn compute_numeric(&self, nums: &[f64]) -> Result<SummaryValue> {
+        Ok(match self {
+            StatFunction::Count => SummaryValue::Count(nums.len() as u64),
+            StatFunction::Sum => SummaryValue::Scalar(descriptive::sum(nums)),
+            StatFunction::Mean => SummaryValue::Scalar(descriptive::mean(nums)?),
+            StatFunction::Variance => SummaryValue::Scalar(descriptive::variance(nums)?),
+            StatFunction::StdDev => SummaryValue::Scalar(descriptive::std_dev(nums)?),
+            StatFunction::Min => SummaryValue::Scalar(descriptive::min(nums)?),
+            StatFunction::Max => SummaryValue::Scalar(descriptive::max(nums)?),
+            StatFunction::Median => SummaryValue::Scalar(quantile::median(nums)?),
+            StatFunction::Quartiles => {
+                let (q1, q2, q3) = quantile::quartiles(nums)?;
+                SummaryValue::Vector(vec![q1, q2, q3])
+            }
+            StatFunction::Quantile(pm) => {
+                SummaryValue::Scalar(quantile::quantile(nums, f64::from(*pm) / 1000.0)?)
             }
             StatFunction::Histogram(bins) => {
-                let h = Histogram::from_data(&nums(), usize::from(*bins))?;
-                SummaryValue::Histogram(h)
+                SummaryValue::Histogram(Histogram::from_data(nums, usize::from(*bins))?)
             }
             StatFunction::TrimmedMean(lo, hi) => SummaryValue::Scalar(quantile::trimmed_mean(
-                &nums(),
+                nums,
                 f64::from(*lo) / 1000.0,
                 f64::from(*hi) / 1000.0,
             )?),
+            StatFunction::Mode | StatFunction::UniqueCount => {
+                return Err(StatsError::InvalidParameter(
+                    "mode and unique count need values, not a numeric view",
+                )
+                .into())
+            }
         })
     }
 

@@ -11,7 +11,8 @@
 
 use std::collections::BTreeMap;
 
-use sdbms::core::StatDbms;
+use sdbms::core::{BatchOp, StatDbms, StatFunction};
+use sdbms::data::Value;
 use sdbms::serve::{
     census_query_universe, request_schedule, run_traffic, Outcome, Payload, Query, QuotaConfig,
     Request, ServeConfig, Served, Server, TrafficConfig,
@@ -238,4 +239,93 @@ fn uncached_server_is_also_serially_equivalent() {
         oracle.commit_batch(batch).expect("commit");
         version = oracle.view_version(CENSUS_VIEW).expect("version");
     }
+}
+
+/// Numeric summaries are served from a typed `f64` lane decoded
+/// straight from segment bytes; Mode and UniqueCount from `Value`s.
+/// After a commit that blanks some AGE and INCOME cells, every
+/// function the engine knows must still answer exactly what the
+/// `Value` path (`Snapshot::column` + `StatFunction::compute`) does on
+/// a twin that replayed the same batch.
+#[test]
+fn every_function_over_missing_cells_matches_the_value_path() {
+    let fixture = CensusFixture::new().rows(1_200);
+    let server = Server::start(
+        fixture.build().expect("fixture"),
+        ServeConfig {
+            workers: workers_from_env(2),
+            queue_capacity: 1024,
+            quota: QuotaConfig::unlimited(),
+            ..ServeConfig::default()
+        },
+    );
+    let ops: Vec<BatchOp> = (0..1_200)
+        .step_by(29)
+        .flat_map(|row| {
+            [("AGE", row), ("INCOME", (row + 11) % 1_200)].map(|(attribute, row)| {
+                BatchOp::SetCell {
+                    row,
+                    attribute: attribute.to_string(),
+                    value: Value::Missing,
+                }
+            })
+        })
+        .collect();
+    let session = server.open_session("t", CENSUS_VIEW).expect("session");
+    server.commit(session, ops.clone()).expect("commit");
+
+    let mut twin = fixture.build().expect("twin");
+    let batch = twin.begin_batch(CENSUS_VIEW).expect("twin batch");
+    for op in ops {
+        twin.batch_stage(batch, op).expect("twin stage");
+    }
+    twin.commit_batch(batch).expect("twin commit");
+
+    let functions = [
+        StatFunction::Count,
+        StatFunction::Sum,
+        StatFunction::Mean,
+        StatFunction::Variance,
+        StatFunction::StdDev,
+        StatFunction::Min,
+        StatFunction::Max,
+        StatFunction::Median,
+        StatFunction::Quartiles,
+        StatFunction::Quantile(50),
+        StatFunction::Quantile(999),
+        StatFunction::Mode,
+        StatFunction::UniqueCount,
+        StatFunction::Histogram(13),
+        StatFunction::TrimmedMean(50, 950),
+    ];
+    let mut compared = 0usize;
+    for attribute in ["AGE", "INCOME", "HOURS_WORKED", "SEX", "REGION"] {
+        let snap = twin.snapshot(CENSUS_VIEW).expect("twin snapshot");
+        let col = snap.column(attribute).expect("twin column");
+        if matches!(attribute, "AGE" | "INCOME") {
+            assert!(col.contains(&Value::Missing), "{attribute} has blanks");
+        }
+        for function in &functions {
+            let query = Query::summary(attribute, function.clone());
+            let served = server.query(session, query.clone());
+            match function.compute(&col) {
+                Ok(want) => {
+                    let resp = served.unwrap_or_else(|e| panic!("{query:?}: {e}"));
+                    assert_eq!(resp.served, Served::Computed, "{query:?}");
+                    assert_eq!(
+                        resp.canonical_bytes(),
+                        format!("{:?}", Payload::Summary(want)).into_bytes(),
+                        "{query:?}"
+                    );
+                    compared += 1;
+                }
+                Err(e) => assert!(served.is_err(), "{query:?}: the value path fails: {e}"),
+            }
+        }
+    }
+    drop(server.shutdown());
+    assert!(
+        compared >= 3 * functions.len(),
+        "only {compared} answers compared"
+    );
 }
